@@ -13,24 +13,20 @@
 //! round trip unchanged (the hex-float codec is where bit-exactness
 //! goes to die).
 //!
-//! Each case runs one live runtime to a random epoch, captures a
+//! Each case runs one live run to a random epoch, captures a
 //! [`SnapshotDoc`], round-trips it through its JSON rendering, restores
-//! the decoded document into a second runtime built through the normal
-//! construction path (disarmed, for fault-injected runs — exactly what
-//! `copart_serve::persist::recover_faulty` does), then steps both
-//! runtimes the same number of epochs and demands identical per-epoch
-//! outcomes, identical trace bytes, and identical re-captured state.
+//! the decoded document through the serve recovery path
+//! ([`copart_serve::restore_run`]), then steps both runs the same number
+//! of epochs and demands identical per-epoch outcomes, identical trace
+//! bytes, and identical re-captured state.
 
 use crate::property::{CaseOutcome, Property};
 use crate::source::Source;
 use copart_core::policies::PolicyKind;
-use copart_core::runtime::ConsolidationRuntime;
-use copart_faults::{FaultPlan, FaultTrigger, FaultyBackend};
-use copart_persist::{MetricsFrozen, PersistableBackend, SnapshotDoc, SnapshotMeta};
-use copart_rdt::SimBackend;
+use copart_faults::{FaultPlan, FaultTrigger};
+use copart_persist::SnapshotDoc;
 use copart_serve::scenario::profile_with_retries;
-use copart_serve::{Scenario, SharedRing, PROFILE_ATTEMPTS};
-use copart_sim::Machine;
+use copart_serve::{restore_run, PersistedRun, Scenario, SharedRing, PROFILE_ATTEMPTS};
 use copart_telemetry::Json;
 use copart_workloads::MixKind;
 
@@ -109,97 +105,19 @@ fn check_case(
     after: u64,
     faults: Option<FaultPlan>,
 ) -> Result<(), String> {
-    let scenario = Scenario::new(mix, n_apps, policy, seed, faults.clone())
+    let scenario = Scenario::new(mix, n_apps, policy, seed, faults)
         .map_err(|e| format!("scenario rejected: {e}"))?;
     let env = scenario.env();
-    let meta = SnapshotMeta {
-        mix: env.identity.mix.clone(),
-        n_apps: n_apps as u64,
-        policy: policy.label().to_string(),
-        seed,
-        faults: env.identity.faults.clone(),
-        daemon_epochs: before,
-    };
-    match faults {
-        None => {
-            let live = scenario
-                .build_sim(&env)
-                .map_err(|e| format!("build: {e}"))?;
-            run_pair(live, 1, before, after, meta, |doc| {
-                let mut resumed = scenario.build_sim(&env)?;
-                resumed
-                    .backend_mut()
-                    .restore_from(&doc.backend)
-                    .map_err(|e| format!("backend restore: {e}"))?;
-                resumed.restore_snapshot(&doc.runtime);
-                Ok(resumed)
-            })
-        }
-        Some(plan) => {
-            let live = scenario
-                .build_faulty(&env, plan.clone())
-                .map_err(|e| format!("build: {e}"))?;
-            run_pair(live, PROFILE_ATTEMPTS, before, after, meta, |doc| {
-                // The recovery construction path: rebuild with the
-                // fault decorator disarmed so construction consumes no
-                // fault-stream draws, restore, then re-arm.
-                let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
-                let named: Vec<_> = scenario
-                    .specs(&env)
-                    .into_iter()
-                    .map(|spec| {
-                        let name = spec.name.clone();
-                        backend
-                            .add_workload(spec)
-                            .map(|group| (group, name))
-                            .map_err(|e| format!("re-admit: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let mut faulty = FaultyBackend::new(backend, plan.clone());
-                faulty.set_armed(false);
-                let cfg = env.runtime_config(n_apps, policy);
-                let mut resumed = ConsolidationRuntime::new(faulty, named, cfg)
-                    .map_err(|e| format!("disarmed construction: {e}"))?;
-                resumed
-                    .backend_mut()
-                    .restore_from(&doc.backend)
-                    .map_err(|e| format!("backend restore: {e}"))?;
-                resumed.restore_snapshot(&doc.runtime);
-                resumed.backend_mut().set_armed(true);
-                Ok(resumed)
-            })
-        }
-    }
-}
-
-/// Drives the live runtime to the snapshot point, round-trips the
-/// document through its wire rendering, restores via `restore`, then
-/// compares the two continuations epoch by epoch.
-fn run_pair<B, F>(
-    mut live: ConsolidationRuntime<B>,
-    attempts: u32,
-    before: u64,
-    after: u64,
-    meta: SnapshotMeta,
-    restore: F,
-) -> Result<(), String>
-where
-    B: PersistableBackend,
-    F: FnOnce(&SnapshotDoc) -> Result<ConsolidationRuntime<B>, String>,
-{
-    profile_with_retries(&mut live, attempts)?;
+    let mut runtime = scenario.build(&env).map_err(|e| format!("build: {e}"))?;
+    profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
+    let mut live = PersistedRun::new(&scenario, runtime, env);
     for _ in 0..before {
         // Epoch failures (degraded-mode busy writes) are part of the
         // state being snapshotted, not a case failure.
-        let _ = live.run_period();
+        let _ = live.run_epoch();
     }
 
-    let doc = SnapshotDoc {
-        meta,
-        runtime: live.snapshot(),
-        backend: live.backend().capture(),
-        metrics: MetricsFrozen::capture(&live.metrics_snapshot()),
-    };
+    let doc = live.capture();
     let rendered = doc.encode().to_string();
     let parsed =
         Json::parse(&rendered).map_err(|e| format!("snapshot rendering does not re-parse: {e}"))?;
@@ -214,14 +132,14 @@ where
         ));
     }
 
-    let mut resumed = restore(&decoded)?;
+    let mut resumed = restore_run(&scenario, &decoded)?;
 
     let (ring_live, ring_resumed) = (SharedRing::new(256), SharedRing::new(256));
     live.set_recorder(Box::new(ring_live.clone()));
     resumed.set_recorder(Box::new(ring_resumed.clone()));
     for step in 0..after {
-        let a = live.run_period().map(|_| ()).map_err(|e| e.to_string());
-        let b = resumed.run_period().map(|_| ()).map_err(|e| e.to_string());
+        let a = live.run_epoch().map_err(|e| e.to_string());
+        let b = resumed.run_epoch().map_err(|e| e.to_string());
         if a != b {
             return Err(format!(
                 "continuation epoch {step} diverged: live {a:?} vs resumed {b:?}"
@@ -246,10 +164,11 @@ where
         ));
     }
 
-    let (state_live, state_resumed) = (
-        format!("{:?} {:?}", live.snapshot(), live.backend().capture()),
-        format!("{:?} {:?}", resumed.snapshot(), resumed.backend().capture()),
-    );
+    let state = |run: &PersistedRun| {
+        let doc = run.capture();
+        format!("{:?} {:?}", doc.runtime, doc.backend)
+    };
+    let (state_live, state_resumed) = (state(&live), state(&resumed));
     if state_live != state_resumed {
         return Err(format!(
             "re-captured states diverge after the continuation:\n  live:    {}\n  resumed: {}",

@@ -62,6 +62,23 @@ impl Options {
                 .map_err(|_| format!("option --{name}: cannot parse {v:?}")),
         }
     }
+
+    /// The `--seconds` run length in virtual seconds (default 30), the
+    /// one check every command taking it shares.
+    ///
+    /// # Errors
+    ///
+    /// Rejects unparsable values and anything not finite and positive
+    /// (`nan`, `inf`, zero, negatives).
+    pub fn seconds(&self) -> Result<f64, String> {
+        let seconds: f64 = self.number("seconds", 30.0)?;
+        if !(seconds.is_finite() && seconds > 0.0) {
+            return Err(format!(
+                "--seconds must be a finite positive number, got {seconds}"
+            ));
+        }
+        Ok(seconds)
+    }
 }
 
 #[cfg(test)]
@@ -97,6 +114,22 @@ mod tests {
         let o = parse(&sv(&["--apps", "many"])).unwrap();
         assert!(o.required("root").is_err());
         assert!(o.number::<u32>("apps", 4).is_err());
+    }
+
+    #[test]
+    fn seconds_must_be_finite_and_positive() {
+        assert_eq!(parse(&[]).unwrap().seconds().unwrap(), 30.0);
+        assert_eq!(
+            parse(&sv(&["--seconds", "0.5"]))
+                .unwrap()
+                .seconds()
+                .unwrap(),
+            0.5
+        );
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "0", "-3", "soon"] {
+            let o = parse(&sv(&["--seconds", bad])).unwrap();
+            assert!(o.seconds().is_err(), "--seconds {bad} must be rejected");
+        }
     }
 
     #[test]

@@ -38,10 +38,7 @@ pub fn compare(opts: &Options) -> Result<(), String> {
             _ => return Err(format!("option --jobs: cannot parse {jobs:?}")),
         }
     }
-    let seconds: f64 = opts.number("seconds", 30.0f64)?;
-    if seconds <= 0.0 {
-        return Err("--seconds must be positive".into());
-    }
+    let seconds = opts.seconds()?;
     let seed: u64 = opts.number("seed", copart_core::CoPartParams::default().seed)?;
 
     let machine = MachineConfig::xeon_gold_6130();

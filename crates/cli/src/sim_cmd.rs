@@ -1,12 +1,12 @@
 //! Simulator-backed commands: `sim-run` and `classify`.
 
 use copart_core::policies::{self, EvalOptions, PolicyKind};
-use copart_core::runtime::ConsolidationRuntime;
 use copart_core::scale::{run_planner_scale, ScaleConfig, ScalePopulation};
-use copart_faults::{FaultPlan, FaultyBackend};
-use copart_rdt::{ClosId, RdtBackend, SimBackend};
-use copart_serve::Scenario;
-use copart_sim::{AppSpec, Machine, MachineConfig};
+use copart_faults::FaultPlan;
+use copart_rdt::{ClosId, RdtBackend};
+use copart_serve::scenario::profile_with_retries;
+use copart_serve::{Scenario, PROFILE_ATTEMPTS};
+use copart_sim::MachineConfig;
 use copart_telemetry::{JsonlRecorder, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{measure, Benchmark, MixKind, WorkloadMix};
@@ -51,10 +51,7 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
     let mix_kind = parse_mix(opts.get("mix").unwrap_or("h-both"))?;
     let policy = parse_policy(opts.get("policy").unwrap_or("copart"))?;
     let n_apps: usize = opts.number("apps", 4usize)?;
-    let seconds: f64 = opts.number("seconds", 30.0f64)?;
-    if seconds <= 0.0 {
-        return Err("--seconds must be positive".into());
-    }
+    let seconds = opts.seconds()?;
     if n_apps == 0 || n_apps > 4096 {
         return Err("--apps must be between 1 and 4096".into());
     }
@@ -89,7 +86,6 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
 
     eprintln!("measuring solo references and STREAM table...");
     let full = policies::solo_full_ips(&machine, &specs);
-    let stream = StreamReference::compute(&machine, 4);
 
     let period_s = copart_core::CoPartParams::default().period.as_secs_f64();
     let total_periods = (seconds / period_s).ceil() as u32;
@@ -109,53 +105,17 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
         policy,
         PolicyKind::CatOnly | PolicyKind::MbaOnly | PolicyKind::CoPart | PolicyKind::LfocCluster
     );
-    let r = if let Some(plan) = faults {
-        if !dynamic {
-            return Err(
-                "--faults needs a dynamic policy (cat-only, mba-only, copart, lfoc)".into(),
-            );
-        }
-        run_faulty(
-            &machine,
-            &specs,
-            &full,
-            &stream,
-            policy,
-            &eval,
-            plan,
-            trace_out,
-            want_metrics,
-        )?
+    let r = if dynamic {
+        let scenario = Scenario::new(mix_kind, n_apps, policy, eval.seed, faults)?;
+        run_dynamic(&scenario, &full, &eval, trace_out, want_metrics)?
+    } else if faults.is_some() {
+        return Err("--faults needs a dynamic policy (cat-only, mba-only, copart, lfoc)".into());
     } else if trace_out.is_some() || want_metrics {
-        if !dynamic {
-            return Err(
-                "--trace-out/--metrics need a dynamic policy (cat-only, mba-only, copart, lfoc)"
-                    .into(),
-            );
-        }
-        let recorder: Box<dyn Recorder + Send> = match trace_out {
-            Some(path) => Box::new(
-                JsonlRecorder::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            ),
-            // Metrics are collected by the runtime unconditionally; no
-            // recorder needed when only --metrics was asked for.
-            None => Box::new(NullRecorder),
-        };
-        let (r, mut recorder, snapshot) = policies::evaluate_policy_traced(
-            &machine, &specs, &full, &stream, policy, &eval, recorder,
+        return Err(
+            "--trace-out/--metrics need a dynamic policy (cat-only, mba-only, copart, lfoc)".into(),
         );
-        recorder
-            .flush()
-            .map_err(|e| format!("flushing trace: {e}"))?;
-        if let Some(path) = trace_out {
-            eprintln!("trace written to {path}");
-        }
-        if want_metrics {
-            println!("\nmetrics:");
-            print!("{snapshot}");
-        }
-        r
     } else {
+        let stream = StreamReference::compute(&machine, 4);
         policies::evaluate_policy(&machine, &specs, &full, &stream, policy, &eval)
     };
 
@@ -294,71 +254,38 @@ fn planner_scale(opts: &Options, n_apps: usize, seconds: f64) -> Result<(), Stri
     Ok(())
 }
 
-/// The `--faults` variant of the traced evaluation: the same dynamic
-/// policy and controller configuration, but with the simulator wrapped
-/// in `copart-faults`' deterministic injector. Ground truth reads go
-/// through [`FaultyBackend::inner_mut`] so the fairness measurement
-/// stays exact even when the controller's own view is degraded.
-#[allow(clippy::too_many_arguments)]
-fn run_faulty(
-    machine: &MachineConfig,
-    specs: &[AppSpec],
+/// The one-shot run of a dynamic policy: the scenario's runtime (the
+/// simulator behind the fault decorator, on [`FaultPlan::none`] without
+/// `--faults`), profiled with the scenario retry allowance, then measured
+/// against ground truth read through [`copart_faults::FaultyBackend::inner_mut`],
+/// so the fairness measurement stays exact even when the controller's own
+/// view is degraded.
+fn run_dynamic(
+    scenario: &Scenario,
     full: &[f64],
-    stream: &StreamReference,
-    policy: PolicyKind,
     eval: &EvalOptions,
-    plan: FaultPlan,
     trace_out: Option<&str>,
     want_metrics: bool,
 ) -> Result<policies::EvalResult, String> {
-    let params = copart_core::CoPartParams {
-        seed: eval.seed,
-        ..copart_core::CoPartParams::default()
-    };
-    let mut backend = SimBackend::new(Machine::new(machine.clone()));
-    let named: Vec<(ClosId, String)> = specs
-        .iter()
-        .map(|s| {
-            let g = backend
-                .add_workload(s.clone())
-                .expect("mix fits the machine");
-            (g, s.name.clone())
-        })
-        .collect();
-    let groups: Vec<ClosId> = named.iter().map(|(g, _)| *g).collect();
-    let cfg = policies::dynamic_runtime_config(machine, specs.len(), stream, policy, &params);
-    let faulty = FaultyBackend::new(backend, plan);
-    let mut runtime = ConsolidationRuntime::new(faulty, named, cfg)
-        .map_err(|e| format!("initial partition apply failed under faults: {e}"))?;
+    let env = scenario.env();
+    let mut runtime = scenario.build(&env)?;
+    let groups: Vec<ClosId> = runtime.apps().iter().map(|a| a.group).collect();
     let recorder: Box<dyn Recorder + Send> = match trace_out {
         Some(path) => {
             Box::new(JsonlRecorder::create(path).map_err(|e| format!("cannot create {path}: {e}"))?)
         }
+        // Metrics are collected by the runtime unconditionally; no
+        // recorder needed when only --metrics was asked for.
         None => Box::new(NullRecorder),
     };
     runtime.set_recorder(recorder);
-    // A vanished group or a run of busy writes outlasting the bounded
-    // retries aborts a whole profiling pass; give it a few passes.
-    let mut profiled = false;
-    for attempt in 1..=5 {
-        match runtime.profile() {
-            Ok(()) => {
-                profiled = true;
-                break;
-            }
-            Err(e) => eprintln!("profiling attempt {attempt} failed under faults: {e}; retrying"),
-        }
-    }
-    if !profiled {
-        return Err("profiling did not survive the fault plan (5 attempts)".into());
-    }
+    profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
     let (r, mut runtime) =
-        policies::evaluate_runtime_traced(runtime, &groups, full, policy, eval, |b, g| {
+        policies::evaluate_runtime_traced(runtime, &groups, full, scenario.policy, eval, |b, g| {
             b.inner_mut().read_counters(g).expect("group is live")
         })
-        .map_err(|e| format!("consolidation run failed under faults: {e}"))?;
+        .map_err(|e| format!("consolidation run failed: {e}"))?;
     let snapshot = runtime.metrics_snapshot();
-    let stats = runtime.backend().stats();
     let mut recorder = runtime.set_recorder(Box::new(NullRecorder));
     recorder
         .flush()
@@ -366,15 +293,18 @@ fn run_faulty(
     if let Some(path) = trace_out {
         eprintln!("trace written to {path}");
     }
-    eprintln!(
-        "faults injected: {} (dropouts {}, CAT writes {}, MBA writes {}, vanishes {}, clock stalls {})",
-        stats.total(),
-        stats.dropouts,
-        stats.cbm_write_faults,
-        stats.mba_write_faults,
-        stats.vanishes,
-        stats.clock_stalls
-    );
+    if scenario.faults.is_some() {
+        let stats = runtime.backend().stats();
+        eprintln!(
+            "faults injected: {} (dropouts {}, CAT writes {}, MBA writes {}, vanishes {}, clock stalls {})",
+            stats.total(),
+            stats.dropouts,
+            stats.cbm_write_faults,
+            stats.mba_write_faults,
+            stats.vanishes,
+            stats.clock_stalls
+        );
+    }
     if want_metrics {
         println!("\nmetrics:");
         print!("{snapshot}");

@@ -12,11 +12,13 @@
 //! abstracts the one capability the runtime's own [`RdtBackend`] trait
 //! lacks: starting and stopping whole workloads at runtime.
 //!
-//! The serve daemon's `ServeBackend` is this trait plus persistence;
-//! `copart-fleet` holds `N` [`NodeRuntime`]s behind per-node fault
-//! decorators. Both paths go through the same admission/eviction code,
-//! so a fleet node's trace is byte-identical to a daemon's for the same
-//! membership history — the invariant the migration tests pin down.
+//! The serve daemon and `copart-fleet` both run on the simulator behind
+//! the fault decorator (`copart_faults::FaultySim`, whose
+//! [`NodeBackend`] impl bypasses injection); the fleet holds `N`
+//! [`NodeRuntime`]s with per-node fault plans. Both paths go through the
+//! same admission/eviction code, so a fleet node's trace is
+//! byte-identical to a daemon's for the same membership history — the
+//! invariant the migration tests pin down.
 
 use copart_rdt::{ClosId, RdtBackend, RdtError, SimBackend};
 use copart_sim::AppSpec;
@@ -53,8 +55,8 @@ impl NodeBackend for SimBackend {
 
 /// Runs profiling, retrying whole passes up to `attempts` times — under
 /// fault injection a vanished group or a run of busy writes can abort a
-/// pass, and callers (the serve daemon, `sim-run --faults`, fleet
-/// nodes) give it several.
+/// pass, and callers (every serve scenario boot, fleet nodes) give it
+/// several.
 ///
 /// # Errors
 ///
@@ -211,11 +213,6 @@ impl<B: NodeBackend> NodeRuntime<B> {
     /// Mutable access to the underlying runtime.
     pub fn runtime_mut(&mut self) -> &mut ConsolidationRuntime<B> {
         &mut self.runtime
-    }
-
-    /// Unwraps into the underlying runtime.
-    pub fn into_runtime(self) -> ConsolidationRuntime<B> {
-        self.runtime
     }
 }
 

@@ -15,10 +15,9 @@
 //! grade its own homework.
 //!
 //! Every policy — the baselines and CoPart itself — is dispatched through
-//! the [`PolicyEngine`] trait ([`crate::planner::engine`]); the harness
-//! here only drives whatever plan the engine produces. A new policy plugs
-//! in via [`evaluate_engine`] without touching this module (DESIGN.md
-//! §12.3).
+//! the [`PolicyEngine`](planner::PolicyEngine) trait
+//! ([`planner::engine`]); the harness here only drives whatever plan the
+//! engine produces (DESIGN.md §12.3).
 
 use copart_rng::XorShift64Star;
 
@@ -28,7 +27,7 @@ use copart_telemetry::{MetricsSnapshot, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
 
 use crate::metrics::{self, geomean, unfairness};
-use crate::planner::{self, PlanContext, PolicyEngine, PolicyPlan};
+use crate::planner::{self, PlanContext, PolicyPlan};
 use crate::runtime::{ConsolidationRuntime, RuntimeConfig};
 use crate::state::{AllocationState, SystemState, WaysBudget};
 use crate::CoPartParams;
@@ -160,7 +159,9 @@ pub fn solo_full_ips(machine_cfg: &MachineConfig, specs: &[AppSpec]) -> Vec<f64>
 }
 
 /// Runs one policy on one workload mix, returning ground-truth fairness
-/// and throughput.
+/// and throughput. The policy's engine ([`planner::engine`]) plans either
+/// a fixed state (measured statically) or a [`RuntimeConfig`] (profiled
+/// and adapted through the consolidation runtime).
 ///
 /// # Panics
 ///
@@ -174,34 +175,7 @@ pub fn evaluate_policy(
     policy: PolicyKind,
     opts: &EvalOptions,
 ) -> EvalResult {
-    evaluate_engine(
-        planner::engine(policy),
-        machine_cfg,
-        specs,
-        ips_full_solo,
-        stream,
-        opts,
-    )
-}
-
-/// Runs any [`PolicyEngine`] — the extension seam: a policy outside
-/// [`PolicyKind`]'s built-ins plugs into the same harness by implementing
-/// the trait and calling this (DESIGN.md §12.3). The engine plans either
-/// a fixed state (measured statically) or a [`RuntimeConfig`] (profiled
-/// and adapted through the consolidation runtime).
-///
-/// # Panics
-///
-/// Panics if the simulated machine rejects the mix (more cores demanded
-/// than exist) — mixes are constructed to fit.
-pub fn evaluate_engine(
-    engine: &dyn PolicyEngine,
-    machine_cfg: &MachineConfig,
-    specs: &[AppSpec],
-    ips_full_solo: &[f64],
-    stream: &StreamReference,
-    opts: &EvalOptions,
-) -> EvalResult {
+    let engine = planner::engine(policy);
     assert_eq!(specs.len(), ips_full_solo.len());
     let params = CoPartParams {
         seed: opts.seed,
@@ -258,30 +232,11 @@ pub fn evaluate_copart_with_params(
     )
 }
 
-/// Evaluates an arbitrary *static* system state on a fresh machine — the
-/// primitive behind the Figure 4–6 heatmaps and the ST search.
-pub fn evaluate_static_state(
-    machine_cfg: &MachineConfig,
-    specs: &[AppSpec],
-    ips_full_solo: &[f64],
-    state: &SystemState,
-    opts: &EvalOptions,
-) -> EvalResult {
-    run_static(
-        machine_cfg,
-        specs,
-        ips_full_solo,
-        state,
-        false,
-        PolicyKind::Static,
-        opts,
-    )
-}
-
-/// [`evaluate_static_state`] over a whole batch of states, fanned out on
-/// the [`copart_parallel`] pool (`--jobs` / `COPART_JOBS` workers).
-/// Every state runs on its own fresh machine, so the results — returned
-/// in input order — are identical at every job count.
+/// Evaluates a whole batch of arbitrary *static* system states — the
+/// primitive behind the Figure 4–6 heatmaps and the ST search — fanned
+/// out on the [`copart_parallel`] pool (`--jobs` / `COPART_JOBS`
+/// workers). Every state runs on its own fresh machine, so the results —
+/// returned in input order — are identical at every job count.
 pub fn evaluate_static_states(
     machine_cfg: &MachineConfig,
     specs: &[AppSpec],
@@ -380,7 +335,7 @@ fn build_runtime(
 }
 
 /// The [`RuntimeConfig`] a dynamic policy (CAT-only / MBA-only / CoPart /
-/// LFOC) runs with, as planned by its [`PolicyEngine`]. Public so
+/// LFOC) runs with, as planned by its [`planner::PolicyEngine`]. Public so
 /// harnesses that build the backend themselves — e.g. to wrap it in a
 /// fault-injecting decorator — run the *same* controller configuration
 /// the standard traced evaluation uses.

@@ -100,6 +100,12 @@ pub struct FaultyBackend<B: RdtBackend> {
     armed: bool,
 }
 
+/// The one simulated platform: the simulator behind the fault decorator.
+/// Every serve scenario and every fleet node runs on it; a fault-free run
+/// gets [`FaultPlan::none`], which is byte-transparent, so a clean and a
+/// fault-injected run differ only in their plan, never in their type.
+pub type FaultySim = FaultyBackend<copart_rdt::SimBackend>;
+
 /// Frozen state of one injection site: the RNG stream position and the
 /// call counter. The trigger itself is part of the [`FaultPlan`] and is
 /// not captured here.

@@ -14,6 +14,7 @@
 //!   call / probability / explicit call schedule);
 //! * [`FaultyBackend`] — a decorator over any [`copart_rdt::RdtBackend`] that
 //!   consults the plan on every call and injects the configured failure;
+//!   [`FaultySim`] is the decorated simulator every scenario runs on;
 //! * [`InjectionStats`] — ground truth of what was actually injected,
 //!   so tests can assert `rollbacks == failed applies` style invariants.
 //!
@@ -46,6 +47,6 @@ mod backend;
 mod plan;
 mod scope;
 
-pub use backend::{FaultStateSnapshot, FaultyBackend, InjectionStats, SiteSnapshot};
+pub use backend::{FaultStateSnapshot, FaultyBackend, FaultySim, InjectionStats, SiteSnapshot};
 pub use plan::{FaultPlan, FaultPlanError, FaultTrigger};
 pub use scope::{NodeScope, ScopedFaultPlan};

@@ -37,7 +37,7 @@ use std::sync::{Mutex, OnceLock};
 
 use copart_core::runtime::{PeriodRecord, Phase, RuntimeConfig};
 use copart_core::{CoPartParams, NodeRuntime, WaysBudget};
-use copart_faults::{FaultPlan, FaultyBackend, ScopedFaultPlan};
+use copart_faults::{FaultPlan, FaultyBackend, FaultySim, ScopedFaultPlan};
 use copart_persist::{
     write_snapshot, MetricsFrozen, PersistableBackend, SnapshotDoc, SnapshotMeta,
 };
@@ -58,11 +58,6 @@ use crate::trace::FleetEvent;
 /// 4-core benchmark models — so a node hosts up to four, exactly the
 /// consolidation density of the paper's 4-app mixes.
 const APP_CORES: u32 = 4;
-
-/// The backend every fleet node runs: the simulator behind the fault
-/// decorator. Out-of-scope nodes get [`FaultPlan::none`], which is
-/// byte-transparent, so the node type is uniform fleet-wide.
-pub type FleetBackend = FaultyBackend<SimBackend>;
 
 /// Rebalancer tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,7 +187,9 @@ struct NodeEpochOutcome {
 
 struct FleetNode {
     id: u64,
-    runtime: Option<NodeRuntime<FleetBackend>>,
+    /// On the one simulated platform; out-of-scope nodes get
+    /// [`FaultPlan::none`], so the node type is uniform fleet-wide.
+    runtime: Option<NodeRuntime<FaultySim>>,
     residents: Vec<Resident>,
     pending: Vec<Pending>,
     unfairness: f64,

@@ -28,7 +28,7 @@ pub mod migration;
 pub mod placement;
 pub mod trace;
 
-pub use controller::{run_fleet, FleetBackend, FleetConfig, FleetOutcome, RebalanceConfig};
+pub use controller::{run_fleet, FleetConfig, FleetOutcome, RebalanceConfig};
 pub use migration::MigrationTicket;
 pub use placement::{placement_log, Demand, Occupancy, PlacementEngine};
 pub use trace::{check_fleet_trace, FleetEvent, FleetTraceStats};

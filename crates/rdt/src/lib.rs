@@ -17,10 +17,6 @@
 //!   [`CounterSource`], since on real hardware they come from
 //!   `perf_event`/PAPI rather than resctrl itself (§3.2 of the paper).
 //!
-//! [`TimedBackend`] decorates either implementation with per-operation
-//! call counts and latency accumulators, feeding the observability layer's
-//! view of how expensive actuation is on a given platform.
-//!
 //! The controller in `copart-core` is written purely against
 //! [`RdtBackend`], so porting it to real hardware is a backend swap.
 
@@ -31,13 +27,11 @@ mod backend;
 mod error;
 pub mod resctrl;
 mod sim_backend;
-mod timed;
 
 pub use backend::{RdtBackend, RdtCapabilities};
 pub use error::RdtError;
 pub use resctrl::{CounterSource, FileCounterSource, ResctrlBackend};
 pub use sim_backend::SimBackend;
-pub use timed::{BackendStats, OpStats, TimedBackend};
 
 // Re-export the fundamental resource-control types so dependents don't
 // need a direct `copart-sim` dependency for them.

@@ -27,8 +27,7 @@ use crate::persist::PersistedRun;
 use crate::trace::SharedRing;
 use copart_core::policies::PolicyKind;
 use copart_core::runtime::Phase;
-use copart_core::NodeBackend;
-use copart_persist::PersistableBackend;
+use copart_rdt::RdtBackend;
 use copart_telemetry::{Json, MetricsRegistry};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -101,18 +100,6 @@ pub fn parse_dynamic_policy(s: &str) -> Result<PolicyKind, String> {
     }
 }
 
-/// The backend capabilities the daemon needs beyond
-/// [`RdtBackend`](copart_rdt::RdtBackend):
-/// admitting and evicting whole workloads at runtime
-/// ([`NodeBackend`] — the seam `copart-fleet` nodes share), plus
-/// freezing and restoring complete state for crash recovery
-/// ([`PersistableBackend`]). The `SimBackend` and
-/// `FaultyBackend<SimBackend>` impls come from those two traits; this
-/// is just their intersection.
-pub trait ServeBackend: NodeBackend + PersistableBackend + Send + 'static {}
-
-impl<B: NodeBackend + PersistableBackend + Send + 'static> ServeBackend for B {}
-
 /// Pacing configuration for the control loop.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -141,8 +128,8 @@ impl ControlHandle {
 
 /// Spawns the control thread over a profiled (and possibly recovered)
 /// run.
-pub fn spawn_control<B: ServeBackend>(
-    run: PersistedRun<B>,
+pub fn spawn_control(
+    run: PersistedRun,
     cfg: DaemonConfig,
     rx: Receiver<Command>,
     commands: Sender<Command>,
@@ -167,15 +154,15 @@ pub fn spawn_control<B: ServeBackend>(
     }
 }
 
-struct Daemon<B: ServeBackend> {
-    run: PersistedRun<B>,
+struct Daemon {
+    run: PersistedRun,
     cfg: DaemonConfig,
     metrics: Arc<MetricsRegistry>,
     status: Arc<Mutex<String>>,
     rx: Receiver<Command>,
 }
 
-impl<B: ServeBackend> Daemon<B> {
+impl Daemon {
     fn run(mut self) {
         self.publish_status();
         if self.cfg.tick.is_zero() {

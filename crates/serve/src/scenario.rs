@@ -11,7 +11,7 @@
 use copart_core::policies::{self, PolicyKind};
 use copart_core::runtime::{ConsolidationRuntime, RuntimeConfig};
 use copart_core::CoPartParams;
-use copart_faults::{FaultPlan, FaultyBackend};
+use copart_faults::{FaultPlan, FaultyBackend, FaultySim};
 use copart_rdt::{ClosId, SimBackend};
 use copart_sim::{AppSpec, Machine, MachineConfig};
 use copart_workloads::stream::StreamReference;
@@ -19,8 +19,11 @@ use copart_workloads::{Benchmark, MixKind, WorkloadMix};
 
 use crate::trace::SharedRing;
 
-/// Profiling attempts a fault-injected boot gets before giving up (the
-/// same allowance the one-shot `sim-run --faults` path grants).
+/// Profiling passes every scenario boot gets before giving up: the
+/// daemon, the kill/resume harness, [`Scenario::reference_trace`] and
+/// the one-shot `sim-run`. Under a fault plan a vanished group or a run
+/// of busy writes can abort a pass; without one the first pass always
+/// succeeds, so the allowance costs a fault-free run nothing.
 pub const PROFILE_ATTEMPTS: u32 = 5;
 
 /// What consolidation the daemon should run: everything needed to build
@@ -31,12 +34,13 @@ pub struct Scenario {
     pub mix: MixKind,
     /// Number of applications (1–6).
     pub n_apps: usize,
-    /// The partitioning policy (must be dynamic: CAT-only, MBA-only, or
-    /// CoPart).
+    /// The partitioning policy (must be dynamic: CAT-only, MBA-only,
+    /// CoPart, or LFOC).
     pub policy: PolicyKind,
     /// Seed for the explorer's randomized θ-retries.
     pub seed: u64,
-    /// Deterministic fault plan, if the daemon should run injected.
+    /// Deterministic fault plan, if the run should be fault-injected.
+    /// `None` runs the same decorated backend on [`FaultPlan::none`].
     pub faults: Option<FaultPlan>,
 }
 
@@ -129,36 +133,35 @@ impl Scenario {
         WorkloadMix::build(self.mix, self.n_apps, env.machine.n_cores).specs()
     }
 
-    /// Builds the fault-free runtime for this scenario.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the mix does not fit the machine or the initial
-    /// partition cannot be applied.
-    pub fn build_sim(&self, env: &ScenarioEnv) -> Result<ConsolidationRuntime<SimBackend>, String> {
-        let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
-        let named = admit_all(&mut backend, &self.specs(env))?;
-        let cfg = env.runtime_config(self.n_apps, self.policy);
-        ConsolidationRuntime::new(backend, named, cfg)
-            .map_err(|e| format!("initial partition apply failed: {e}"))
-    }
-
-    /// Builds the fault-injected runtime for this scenario.
+    /// Builds the scenario's runtime on the one simulated platform: the
+    /// simulator behind the fault decorator, armed with the scenario's
+    /// plan, or with [`FaultPlan::none`] (byte-transparent) when the
+    /// scenario has none.
     ///
     /// # Errors
     ///
     /// Fails when the mix does not fit the machine or the initial
     /// partition cannot be applied through the injected faults.
-    pub fn build_faulty(
+    pub fn build(&self, env: &ScenarioEnv) -> Result<ConsolidationRuntime<FaultySim>, String> {
+        self.build_armed(env, true)
+    }
+
+    /// [`Scenario::build`] with the decorator armed or not. Crash
+    /// recovery builds disarmed, so construction consumes no
+    /// fault-stream draws before the recorded positions are restored.
+    pub(crate) fn build_armed(
         &self,
         env: &ScenarioEnv,
-        plan: FaultPlan,
-    ) -> Result<ConsolidationRuntime<FaultyBackend<SimBackend>>, String> {
-        let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
-        let named = admit_all(&mut backend, &self.specs(env))?;
+        armed: bool,
+    ) -> Result<ConsolidationRuntime<FaultySim>, String> {
+        let mut sim = SimBackend::new(Machine::new(env.machine.clone()));
+        let named = admit_all(&mut sim, &self.specs(env))?;
+        let plan = self.faults.clone().unwrap_or_else(FaultPlan::none);
+        let mut backend = FaultyBackend::new(sim, plan);
+        backend.set_armed(armed);
         let cfg = env.runtime_config(self.n_apps, self.policy);
-        ConsolidationRuntime::new(FaultyBackend::new(backend, plan), named, cfg)
-            .map_err(|e| format!("initial partition apply failed under faults: {e}"))
+        ConsolidationRuntime::new(backend, named, cfg)
+            .map_err(|e| format!("initial partition apply failed: {e}"))
     }
 
     /// The one-shot run the daemon is compared against: build, profile,
@@ -172,36 +175,19 @@ impl Scenario {
     pub fn reference_trace(&self, epochs: u64) -> Result<Vec<String>, String> {
         let env = self.env();
         let ring = SharedRing::new(epochs as usize + 256);
-        match self.faults.clone() {
-            None => {
-                let mut runtime = self.build_sim(&env)?;
-                runtime.set_recorder(Box::new(ring.clone()));
-                profile_with_retries(&mut runtime, 1)?;
-                for _ in 0..epochs {
-                    runtime.run_period().map_err(|e| format!("epoch: {e}"))?;
-                }
-            }
-            Some(plan) => {
-                let mut runtime = self.build_faulty(&env, plan)?;
-                runtime.set_recorder(Box::new(ring.clone()));
-                profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
-                for _ in 0..epochs {
-                    runtime.run_period().map_err(|e| format!("epoch: {e}"))?;
-                }
-            }
+        let mut runtime = self.build(&env)?;
+        runtime.set_recorder(Box::new(ring.clone()));
+        profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
+        for _ in 0..epochs {
+            runtime.run_period().map_err(|e| format!("epoch: {e}"))?;
         }
         Ok(ring.all().iter().map(|e| e.to_json_line()).collect())
     }
 }
 
 /// Admits every spec into the backend, returning `(group, name)` pairs
-/// in spec order. Crate-visible so the recovery path
-/// ([`crate::persist`]) can rebuild the boot-time group table before
-/// restoring a snapshot over it.
-pub(crate) fn admit_all(
-    backend: &mut SimBackend,
-    specs: &[AppSpec],
-) -> Result<Vec<(ClosId, String)>, String> {
+/// in spec order.
+fn admit_all(backend: &mut SimBackend, specs: &[AppSpec]) -> Result<Vec<(ClosId, String)>, String> {
     specs
         .iter()
         .map(|spec| {
@@ -286,6 +272,58 @@ mod tests {
         let b = scenario.reference_trace(6).unwrap();
         assert!(!a.is_empty());
         assert_eq!(a, b, "same scenario, same bytes");
+
+        // The decorator on a none plan is transparent: every dynamic
+        // policy traces exactly as it does on a bare simulator.
+        for policy in [
+            PolicyKind::CatOnly,
+            PolicyKind::MbaOnly,
+            PolicyKind::CoPart,
+            PolicyKind::LfocCluster,
+        ] {
+            let scenario = Scenario::new(MixKind::HighBoth, 2, policy, 7, None).unwrap();
+            let env = scenario.env();
+            let mut sim = SimBackend::new(Machine::new(env.machine.clone()));
+            let named = admit_all(&mut sim, &scenario.specs(&env)).unwrap();
+            let cfg = env.runtime_config(scenario.n_apps, policy);
+            let mut bare = ConsolidationRuntime::new(sim, named, cfg).unwrap();
+            let ring = SharedRing::new(256);
+            bare.set_recorder(Box::new(ring.clone()));
+            bare.profile().unwrap();
+            for _ in 0..6 {
+                bare.run_period().unwrap();
+            }
+            let want: Vec<String> = ring.all().iter().map(|e| e.to_json_line()).collect();
+            assert_eq!(
+                scenario.reference_trace(6).unwrap(),
+                want,
+                "{}: none plan is not transparent",
+                policy.label()
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_kind_follows_the_fault_plan() {
+        let clean = Scenario::new(MixKind::HighBoth, 2, PolicyKind::CoPart, 7, None).unwrap();
+        let env = clean.env();
+        let mut runtime = clean.build(&env).unwrap();
+        runtime.profile().unwrap();
+        let mut doc = crate::PersistedRun::new(&clean, runtime, env).capture();
+        assert!(
+            doc.encode().to_string().contains(r#""kind":"sim""#),
+            "a fault-free run persists the bare simulator"
+        );
+
+        let plan = FaultPlan::parse("seed=7,dropout=0.1").unwrap();
+        let faulted =
+            Scenario::new(MixKind::HighBoth, 2, PolicyKind::CoPart, 7, Some(plan)).unwrap();
+        doc.meta.faults = faulted.env().identity.faults;
+        let err = crate::restore_run(&faulted, &doc)
+            .err()
+            .expect("kind mismatch");
+        assert!(err.contains("schema"), "{err}");
+        assert!(err.contains("bare sim backend"), "{err}");
     }
 
     #[test]

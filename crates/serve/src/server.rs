@@ -17,16 +17,13 @@
 //! order: stop accepting, finish in-flight requests, then stop the
 //! control loop at an epoch boundary and flush the trace.
 
-use crate::daemon::{
-    spawn_control, ApiResult, Command, ControlHandle, DaemonConfig, Gateway, ServeBackend,
-};
+use crate::daemon::{spawn_control, ApiResult, Command, ControlHandle, DaemonConfig, Gateway};
 use crate::http::{self, ReadOutcome, Request, Response};
-use crate::persist::{recover_faulty, recover_sim, PersistConfig, PersistedRun, Recovered};
+use crate::persist::{recover, PersistConfig, PersistedRun, Recovered};
 use crate::prometheus;
-use crate::scenario::{profile_with_retries, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
+use crate::scenario::{profile_with_retries, Scenario, PROFILE_ATTEMPTS};
 use crate::trace::{RotatingJsonl, SharedRing, TeeRecorder};
 use crate::workers::{HealthCheckWorker, TraceReplayWorker, TraceRotateWorker, Worker, WorkerPool};
-use copart_core::runtime::ConsolidationRuntime;
 use copart_telemetry::{Json, MetricsRegistry, MetricsSnapshot, Recorder};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -160,11 +157,10 @@ impl ServerHandle {
     }
 }
 
-/// Builds the scenario's runtime (fault-free or fault-injected) and
-/// starts the daemon over it. With [`ServeConfig::state_dir`] set and a
-/// usable snapshot in it, the daemon recovers — restores the snapshot,
-/// replays the event-log tail — and continues the dead process's run
-/// instead of starting over.
+/// Builds the scenario's runtime and starts the daemon over it. With
+/// [`ServeConfig::state_dir`] set and a usable snapshot in it, the
+/// daemon recovers — restores the snapshot, replays the event-log tail —
+/// and continues the dead process's run instead of starting over.
 ///
 /// # Errors
 ///
@@ -173,24 +169,11 @@ impl ServerHandle {
 /// the listen address cannot be bound.
 pub fn serve_scenario(scenario: &Scenario, cfg: ServeConfig) -> Result<ServerHandle, String> {
     if let Some(dir) = cfg.state_dir.clone() {
-        match scenario.faults.clone() {
-            None => {
-                if let Some(rec) = recover_sim(scenario, &dir, cfg.snapshot_every)? {
-                    return serve_recovered(rec, cfg);
-                }
-            }
-            Some(plan) => {
-                if let Some(rec) = recover_faulty(scenario, plan, &dir, cfg.snapshot_every)? {
-                    return serve_recovered(rec, cfg);
-                }
-            }
+        if let Some(rec) = recover(scenario, &dir, cfg.snapshot_every)? {
+            return serve_recovered(rec, cfg);
         }
     }
-    let env = scenario.env();
-    match scenario.faults.clone() {
-        None => serve(scenario.build_sim(&env)?, env, cfg),
-        Some(plan) => serve(scenario.build_faulty(&env, plan)?, env, cfg),
-    }
+    serve_fresh(scenario, cfg)
 }
 
 /// The trace sinks and background jobs a daemon boots with, fresh or
@@ -248,23 +231,17 @@ fn check_pacing(cfg: &ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Starts the daemon over an already-built (not yet profiled) runtime.
-///
-/// # Errors
-///
-/// Fails when profiling fails, the trace directory cannot be created,
-/// or the listen address cannot be bound.
-pub fn serve<B: ServeBackend>(
-    mut runtime: ConsolidationRuntime<B>,
-    env: ScenarioEnv,
-    cfg: ServeConfig,
-) -> Result<ServerHandle, String> {
+/// Boots a fresh daemon: builds and profiles the scenario's runtime,
+/// then serves it.
+fn serve_fresh(scenario: &Scenario, cfg: ServeConfig) -> Result<ServerHandle, String> {
     check_pacing(&cfg)?;
+    let env = scenario.env();
+    let mut runtime = scenario.build(&env)?;
     let metrics = runtime.metrics_handle();
     let sinks = build_sinks(&cfg, &metrics, None)?;
     runtime.set_recorder(sinks.recorder);
     profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
-    let mut run = PersistedRun::new(runtime, env);
+    let mut run = PersistedRun::new(scenario, runtime, env);
     if let Some(dir) = cfg.state_dir.clone() {
         run.enable_persistence(PersistConfig {
             dir,
@@ -277,10 +254,7 @@ pub fn serve<B: ServeBackend>(
 /// Starts the daemon over a restored-but-not-yet-replayed run: attaches
 /// the (resume-truncated) trace sinks, replays the event-log tail
 /// through them, and serves the continued run.
-fn serve_recovered<B: ServeBackend>(
-    mut rec: Recovered<B>,
-    cfg: ServeConfig,
-) -> Result<ServerHandle, String> {
+fn serve_recovered(mut rec: Recovered, cfg: ServeConfig) -> Result<ServerHandle, String> {
     check_pacing(&cfg)?;
     let metrics = rec.metrics_handle();
     let sinks = build_sinks(&cfg, &metrics, Some(rec.snapshot_epoch()))?;
@@ -291,8 +265,8 @@ fn serve_recovered<B: ServeBackend>(
 
 /// The shared back half of both boot paths: spawn the control thread,
 /// the worker pool, and the HTTP front end over a ready [`PersistedRun`].
-fn serve_run<B: ServeBackend>(
-    run: PersistedRun<B>,
+fn serve_run(
+    run: PersistedRun,
     cfg: ServeConfig,
     ring: SharedRing,
     rotating: Option<RotatingJsonl>,

@@ -31,7 +31,11 @@
 #                     benches and diffs their BENCH_*.json against the
 #                     checked-in baselines; the latter also holds the
 #                     4000-app planner p99 under the ~1 ms epoch budget
-#                     in absolute terms (COPART_P99_BUDGET_NS).
+#                     in absolute terms (COPART_P99_BUDGET_NS). It also
+#                     builds and unit-tests the benchmark package
+#                     (perfbench/, its own Cargo package outside the
+#                     workspace), so a public-API change that breaks the
+#                     benchmark fails here rather than at benchmark time.
 #
 # COPART_CHECK_CASES overrides either budget from the environment.
 #
@@ -65,6 +69,9 @@ full)
 
     echo "==> tier-1: cargo test -q --release (copart-check at ${COPART_CHECK_CASES:-512} cases)"
     COPART_CHECK_CASES="${COPART_CHECK_CASES:-512}" cargo test -q --workspace --release
+
+    echo "==> benchmark package: build + unit tests (perfbench/, outside the workspace)"
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
     echo "==> copart-check report determinism (jobs 1 vs 8, ${COPART_CHECK_CASES:-512} cases)"
     check_tmp="$(mktemp -d)"
